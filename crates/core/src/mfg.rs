@@ -18,10 +18,10 @@
 //!    to equilibrium, and is recorded separately in
 //!    [`ConvergenceReport::update_norms`].
 //!
-//! The HJB/FPK sweeps run on cross-iteration scratch buffers and fan
-//! their per-grid-point assembly out over h-columns with scoped threads
-//! ([`Params::worker_threads`]); results are bit-identical for any thread
-//! count.
+//! The HJB/FPK sweeps run on cross-iteration scratch buffers, on the
+//! calling thread. A solve at the CLI grids is a few milliseconds of
+//! assembly per pass, too little to repay spawning threads per time step;
+//! callers that want parallelism run independent solves side by side.
 
 use std::mem;
 use std::sync::OnceLock;
@@ -944,7 +944,7 @@ impl MfgSolver {
         // from `relaxation` toward the `damping` cap while the undamped
         // gap keeps shrinking; fall back to `relaxation` the moment it
         // grows. Driven purely by the residual history, so the schedule is
-        // bit-deterministic across thread counts and kernel paths.
+        // bit-deterministic across kernel paths.
         let adaptive = method == SolveMethod::PicardRelaxation && !self.params.plain_picard;
         let omega_cap = self.params.damping.max(self.params.relaxation);
         let mut adaptive_omega = if adaptive && warm {
@@ -1221,9 +1221,9 @@ mod tests {
         }
     }
 
-    /// The batched SoA kernels and the worker-thread fan-out are
-    /// independent axes, and neither may perturb results: every
-    /// (threads, batched) combination must land on the same bits.
+    /// Neither the batched SoA kernels nor the `worker_threads` setting
+    /// may perturb results: every (threads, batched) combination must
+    /// land on the same bits.
     #[test]
     fn solve_is_bit_identical_across_threads_and_kernel_paths() {
         let reference = MfgSolver::new(Params {

@@ -177,10 +177,11 @@ pub struct Params {
     pub tolerance: f64,
     /// Picard relaxation weight `ω ∈ (0, 1]` mixing successive policies.
     pub relaxation: f64,
-    /// Worker threads for the per-grid-point HJB/FPK assembly passes;
-    /// `0` = one per available core. The assembly is a pure function of the
-    /// previous iterate, split over contiguous h-columns, so results are
-    /// bit-identical for any value.
+    /// Has no effect on a solve: the HJB/FPK assembly runs on the calling
+    /// thread. Kept only because it is part of the canonical encoding
+    /// (and so of every fingerprint) and existing callers set it; it
+    /// moves out of `Params` when the game is split from the execution
+    /// settings.
     pub worker_threads: usize,
 
     /// Adaptive-damping cap `ω̄ ∈ (0, 1]`: while the undamped
@@ -188,9 +189,9 @@ pub struct Params {
     /// geometrically from [`Params::relaxation`] toward
     /// `max(damping, relaxation)`, and falls back to `relaxation` the
     /// moment the gap increases. The schedule is a pure function of the
-    /// residual history, so solves stay bit-identical across worker
-    /// thread counts. Ignored under [`Params::plain_picard`] and for
-    /// fictitious play.
+    /// residual history, so solves stay bit-identical across kernel
+    /// paths. Ignored under [`Params::plain_picard`] and for fictitious
+    /// play.
     pub damping: f64,
 
     /// Disable solver acceleration: run the plain fixed-damping Picard
@@ -451,21 +452,6 @@ impl Params {
             hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
         }
         hash
-    }
-
-    /// Threads to use for an assembly pass over `nx` h-columns:
-    /// `worker_threads` (0 = one per available core), clamped so every
-    /// thread gets at least four columns — below that spawn overhead
-    /// dominates the arithmetic. Never affects results, only wall-clock.
-    pub(crate) fn assembly_threads(&self, nx: usize) -> usize {
-        let requested = if self.worker_threads > 0 {
-            self.worker_threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        };
-        requested.clamp(1, (nx / 4).max(1))
     }
 }
 

@@ -254,7 +254,7 @@ mfgcp - joint mobile edge caching and pricing via mean-field games
 USAGE:
     mfgcp solve    [--eta1 X] [--w5 X] [--q-size X] [--requests X]
                    [--time-steps N] [--grid-h N] [--grid-q N]
-                   [--salvage G] [--lambda0-mean X] [--threads N]
+                   [--salvage G] [--lambda0-mean X]
                    [--damping X] [--plain-picard]
                    [--scalar-kernels] [--telemetry FILE.jsonl]
                    [--save-equilibrium FILE.eq]
@@ -265,7 +265,7 @@ USAGE:
                    [--adaptive-k-int] [--unsharded-market]
                    [--scalar-kernels] [--plain-picard]
                    [--reprice-slot N] [--telemetry FILE.jsonl]
-                   [--observe HOST:PORT] [--observe-hold]
+                   [--observe HOST:PORT] [--observe-hold] [--threads N]
                    (plus all `solve` flags for the game parameters)
     mfgcp serve    --artifact FILE.eq [--addr HOST:PORT] [--threads N]
                    [--read-timeout SECS] [--watch-artifact]
@@ -391,7 +391,6 @@ fn apply_param_flag(params: &mut Params, flag: &str, value: &str) -> Result<bool
         "--salvage" => params.terminal_value_weight = parse_f64(flag, value)?,
         "--damping" => params.damping = parse_f64(flag, value)?,
         "--lambda0-mean" => params.lambda0_mean = parse_f64(flag, value)?,
-        "--threads" => params.worker_threads = parse_usize(flag, value)?,
         _ => return Ok(false),
     }
     Ok(true)
@@ -533,10 +532,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                         }
                         config.network.k_int = k;
                     }
-                    "--threads" => {
-                        config.worker_threads = parse_usize(flag, value)?;
-                        config.params.worker_threads = config.worker_threads;
-                    }
+                    "--threads" => config.worker_threads = parse_usize(flag, value)?,
                     other => {
                         if !apply_param_flag(&mut config.params, other, value)? {
                             return Err(CliError::UnknownFlag(flag.clone()));
@@ -982,17 +978,16 @@ mod tests {
     }
 
     #[test]
-    fn threads_flag_reaches_both_layers() {
-        let cmd = parse(&argv("solve --threads 4")).unwrap();
-        match cmd {
-            Command::Solve { params, .. } => assert_eq!(params.worker_threads, 4),
-            other => panic!("unexpected {other:?}"),
-        }
+    fn threads_flag_reaches_only_the_engine() {
+        assert!(matches!(
+            parse(&argv("solve --threads 4")),
+            Err(CliError::UnknownFlag(flag)) if flag == "--threads"
+        ));
         let cmd = parse(&argv("simulate --threads 2")).unwrap();
         match cmd {
             Command::Simulate { config, .. } => {
                 assert_eq!(config.worker_threads, 2);
-                assert_eq!(config.params.worker_threads, 2);
+                assert_eq!(config.params.worker_threads, 0);
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -26,12 +26,8 @@ use rand::RngExt as _;
 ///
 /// Panics if `params` fails validation.
 pub fn time_mfgcp(params: &Params, m: usize) -> Duration {
-    // Single-threaded assembly: Table II compares *algorithmic* scaling in
-    // M, and a fixed thread count keeps the measurement insensitive to
-    // scheduler contention (e.g. when run alongside other tests).
     let p = Params {
         num_edps: m,
-        worker_threads: 1,
         ..params.clone()
     };
     let solver = MfgSolver::new(p.clone()).expect("valid params");
