@@ -4,9 +4,15 @@
 //! at the workspace root.
 //!
 //! The sharded layout tracks `J · (k_int + 1)` links regardless of M, so
-//! its per-link fading-advance cost, its nearest-EDP association cost per
-//! requester (spatial hash grid), and its resident bytes should all stay
-//! flat across the sweep, while the dense columns grow linearly in M.
+//! its per-requester fading-advance cost, its nearest-EDP association
+//! cost per requester (spatial hash grid), and its resident bytes should
+//! all stay flat across the sweep, while the dense columns grow linearly
+//! in M. A sharded advance moves only each requester's serving link, so
+//! its cost is reported per requester (= per advanced link); the dense
+//! layout advances every link and reports per link. The interferers'
+//! deferred draws are paid on read: `sharded_lazy_read_ns_per_requester`
+//! times one `interference` read per requester after `ADVANCE_STEPS`
+//! unread slots, each replaying `k_int` links' missed transitions.
 //! The dense layout is only measured up to M = 10000 — beyond that the
 //! `M × J` matrices are exactly the memory wall this benchmark documents.
 //! Run: `cargo run --release -p mfgcp-bench --bin bench_channel`
@@ -54,14 +60,15 @@ struct Sample {
     m: usize,
     requesters: usize,
     assoc_micros_per_requester: f64,
-    sharded_advance_ns_per_link: f64,
+    sharded_advance_ns_per_requester: f64,
+    sharded_lazy_read_ns_per_requester: f64,
     sharded_bytes: usize,
     dense: Option<(f64, usize)>, // (advance ns/link, bytes)
 }
 
-/// Best-of-three timed advance sweeps, normalized per tracked link-step.
-fn advance_ns_per_link(channels: &mut ChannelState) -> f64 {
-    let links = channels.tracked_links().max(1);
+/// Best-of-three timed advance sweeps, normalized per advanced
+/// link-step (`advanced` links move per step).
+fn advance_ns_per_link(channels: &mut ChannelState, advanced: usize) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..3 {
         let start = Instant::now();
@@ -69,7 +76,25 @@ fn advance_ns_per_link(channels: &mut ChannelState) -> f64 {
             channels.advance(0.01);
         }
         let nanos = start.elapsed().as_secs_f64() * 1e9;
-        best = best.min(nanos / (ADVANCE_STEPS * links) as f64);
+        best = best.min(nanos / (ADVANCE_STEPS * advanced.max(1)) as f64);
+    }
+    best
+}
+
+/// Best-of-three sweeps of one serving-link `interference` read per
+/// requester, in ns per requester. Reads are pure, so every sweep pays
+/// the full catch-up of the interferers' missed transitions again.
+fn read_ns_per_requester(channels: &ChannelState, topo: &Topology) -> f64 {
+    let j = topo.num_requesters();
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let start = Instant::now();
+        let total: f64 = (0..j)
+            .map(|jj| channels.interference(topo.serving(jj), jj))
+            .sum();
+        let nanos = start.elapsed().as_secs_f64() * 1e9;
+        std::hint::black_box(total);
+        best = best.min(nanos / j.max(1) as f64);
     }
     best
 }
@@ -94,8 +119,15 @@ fn measure(m: usize, recorder: &RecorderHandle) -> Sample {
     }
 
     let mut sharded = ChannelState::init_with_seed(&topo, &cfg, 9);
-    let sharded_ns = advance_ns_per_link(&mut sharded);
+    let sharded_ns = advance_ns_per_link(&mut sharded, REQUESTERS);
     let sharded_bytes = sharded.memory_bytes();
+    // A fresh state, advanced without reads, so every interferer is
+    // exactly `ADVANCE_STEPS` transitions behind.
+    let mut lazy = ChannelState::init_with_seed(&topo, &cfg, 9);
+    for _ in 0..ADVANCE_STEPS {
+        lazy.advance(0.01);
+    }
+    let lazy_read_ns = read_ns_per_requester(&lazy, &topo);
 
     let dense = (m <= DENSE_CEILING).then(|| {
         let dense_cfg = NetworkConfig {
@@ -103,14 +135,16 @@ fn measure(m: usize, recorder: &RecorderHandle) -> Sample {
             ..cfg.clone()
         };
         let mut dense = ChannelState::init_with_seed(&topo, &dense_cfg, 9);
-        (advance_ns_per_link(&mut dense), dense.memory_bytes())
+        let links = dense.tracked_links();
+        (advance_ns_per_link(&mut dense, links), dense.memory_bytes())
     });
 
     let sample = Sample {
         m,
         requesters: REQUESTERS,
         assoc_micros_per_requester: assoc_best,
-        sharded_advance_ns_per_link: sharded_ns,
+        sharded_advance_ns_per_requester: sharded_ns,
+        sharded_lazy_read_ns_per_requester: lazy_read_ns,
         sharded_bytes,
         dense,
     };
@@ -122,8 +156,12 @@ fn measure(m: usize, recorder: &RecorderHandle) -> Sample {
             sample.assoc_micros_per_requester.into(),
         ),
         (
-            "sharded_advance_ns_per_link",
-            sample.sharded_advance_ns_per_link.into(),
+            "sharded_advance_ns_per_requester",
+            sample.sharded_advance_ns_per_requester.into(),
+        ),
+        (
+            "sharded_lazy_read_ns_per_requester",
+            sample.sharded_lazy_read_ns_per_requester.into(),
         ),
         ("sharded_bytes", sample.sharded_bytes.into()),
     ];
@@ -252,11 +290,13 @@ fn main() {
         ("bench".into(), Json::Str("channel_state".into())),
         (
             "unit_note".into(),
-            Json::Str(
+            Json::Str(format!(
                 "sharded columns flat in M <=> occupancy-local scaling; \
-                 dense columns measured up to M = 10000 only"
-                    .into(),
-            ),
+                 sharded advance per requester (serving links only), lazy \
+                 read = one interference read per requester after \
+                 {ADVANCE_STEPS} unread slots; dense advance per link, \
+                 measured up to M = {DENSE_CEILING} only"
+            )),
         ),
         (
             "samples".into(),
@@ -272,8 +312,12 @@ fn main() {
                                 Json::Num(s.assoc_micros_per_requester),
                             ),
                             (
-                                "sharded_advance_ns_per_link".into(),
-                                Json::Num(s.sharded_advance_ns_per_link),
+                                "sharded_advance_ns_per_requester".into(),
+                                Json::Num(s.sharded_advance_ns_per_requester),
+                            ),
+                            (
+                                "sharded_lazy_read_ns_per_requester".into(),
+                                Json::Num(s.sharded_lazy_read_ns_per_requester),
                             ),
                             ("sharded_bytes".into(), Json::Num(s.sharded_bytes as f64)),
                         ];
@@ -318,17 +362,21 @@ fn main() {
         .expect("write BENCH_channel.json");
 
     println!("{json}");
-    println!("m, assoc_us/req, sharded_ns/link, sharded_bytes, dense_ns/link, dense_bytes");
+    println!(
+        "m, assoc_us/req, sharded_advance_ns/req, sharded_lazy_read_ns/req, sharded_bytes, \
+         dense_ns/link, dense_bytes"
+    );
     for s in &samples {
         let (dns, db) = s
             .dense
             .map(|(a, b)| (format!("{a:.2}"), b.to_string()))
             .unwrap_or_else(|| ("-".into(), "-".into()));
         println!(
-            "{}, {:.3}, {:.2}, {}, {}, {}",
+            "{}, {:.3}, {:.2}, {:.1}, {}, {}, {}",
             s.m,
             s.assoc_micros_per_requester,
-            s.sharded_advance_ns_per_link,
+            s.sharded_advance_ns_per_requester,
+            s.sharded_lazy_read_ns_per_requester,
             s.sharded_bytes,
             dns,
             db

@@ -978,6 +978,21 @@ mod tests {
     }
 
     #[test]
+    fn run_length_past_the_channel_step_range_is_a_typed_error() {
+        // Parses (each flag alone is a valid count) but fails validation
+        // instead of aborting on the allocation of a 2^33-slot series.
+        let Command::Simulate { config, .. } =
+            parse(&argv("simulate --epochs 4294967296 --slots 2")).unwrap()
+        else {
+            panic!("expected simulate");
+        };
+        assert!(matches!(
+            config.validate(),
+            Err(mfgcp_sim::SimError::BadConfig { name: "epochs", .. })
+        ));
+    }
+
+    #[test]
     fn threads_flag_reaches_only_the_engine() {
         assert!(matches!(
             parse(&argv("solve --threads 4")),

@@ -8,8 +8,12 @@
 //!
 //! - **Sharded** (default): occupancy-local storage tracking, per
 //!   requester, only the serving-EDP link plus the `k_int` nearest
-//!   interferers ([`NetworkConfig::k_int`]). Memory and per-slot fading
-//!   work are O(J·k_int) — flat in `M` at fixed occupancy. The Eq. (2)
+//!   interferers ([`NetworkConfig::k_int`]). Memory is O(J·k_int) and
+//!   per-slot fading work O(J) — both flat in `M` at fixed occupancy: a
+//!   slot advances only the serving links, and an interferer replays the
+//!   transitions it missed when it is read (lazy catch-up, bit-identical
+//!   to advancing it every slot). Link distances are derived on read
+//!   from the stored positions. The Eq. (2)
 //!   interference sum is the live tracked neighborhood plus a **frozen
 //!   mean-field tail**: the untracked far field evaluated at the OU
 //!   stationary-mean fading, recomputed only at (re)association. The
@@ -98,7 +102,7 @@ impl ChannelState {
             }
             Repr::Dense { fading, distances }
         } else {
-            Repr::Sharded(ShardedLinks::build(topo, cfg, &process, seed, 0, cfg.k_int))
+            Repr::Sharded(ShardedLinks::build(topo, cfg, &process, seed, cfg.k_int))
         };
         Self {
             repr,
@@ -173,7 +177,9 @@ impl ChannelState {
     pub fn link_fading(&self, i: usize, j: usize) -> Option<f64> {
         match &self.repr {
             Repr::Dense { fading, .. } => Some(fading[self.idx(i, j)]),
-            Repr::Sharded(links) => links.records[j].link_to(i as u32).map(|l| l.fading),
+            Repr::Sharded(links) => links.records[j]
+                .link_to(i as u32)
+                .map(|l| links.fading(j, l, &self.process, &self.cfg)),
         }
     }
 
@@ -227,7 +233,7 @@ impl ChannelState {
                 }
             }
             Repr::Sharded(links) => {
-                links.reassociate(topo, &self.cfg, &self.process, self.seed, self.step);
+                links.reassociate(topo, &self.cfg, &self.process);
             }
         }
         if self.cfg.adaptive_k_int {
@@ -264,7 +270,7 @@ impl ChannelState {
                 let Repr::Sharded(links) = &mut self.repr else {
                     return;
                 };
-                links.retrack(topo, &self.cfg, &self.process, self.seed, self.step, target);
+                links.retrack(topo, &self.cfg, &self.process, target);
                 grown = true;
                 continue;
             }
@@ -285,7 +291,7 @@ impl ChannelState {
                 let Repr::Sharded(links) = &mut self.repr else {
                     return;
                 };
-                links.retrack(topo, &self.cfg, &self.process, self.seed, self.step, target);
+                links.retrack(topo, &self.cfg, &self.process, target);
                 let Repr::Sharded(links) = &self.repr else {
                     return;
                 };
@@ -294,7 +300,7 @@ impl ChannelState {
                         let Repr::Sharded(links) = &mut self.repr else {
                             return;
                         };
-                        links.retrack(topo, &self.cfg, &self.process, self.seed, self.step, k);
+                        links.retrack(topo, &self.cfg, &self.process, k);
                     }
                 }
             }
@@ -305,7 +311,10 @@ impl ChannelState {
     /// Recompute the tracked link distances from explicit requester
     /// positions, without touching the nearest-EDP association — the
     /// per-slot case where walkers move continuously but association
-    /// only changes at epoch boundaries. O(tracked links), allocation-free.
+    /// only changes at epoch boundaries. The sharded layout stores the
+    /// positions and derives every link distance on read, so this is an
+    /// O(J) copy; the dense layout recomputes its O(M·J) distances.
+    /// Allocation-free.
     ///
     /// # Panics
     ///
@@ -331,15 +340,25 @@ impl ChannelState {
                     }
                 }
             }
-            Repr::Sharded(links) => links.refresh_distances(topo, positions),
+            Repr::Sharded(links) => links.refresh_distances(positions),
         }
     }
 
     /// Advance every tracked link by `dt` using the exact OU transition,
     /// clamping into the configured fading band. Each link draws from its
     /// own counter-based stream, so the result is independent of storage
-    /// layout, iteration order, and thread count.
+    /// layout, iteration order, and thread count. The sharded layout
+    /// advances only the serving links here (O(J)); an interferer replays
+    /// its missed transitions when read, to the same bits.
+    ///
+    /// A state supports at most `u32::MAX` advances, the range of the
+    /// sharded layout's per-link step stamps; `SimConfig::validate` bounds
+    /// a run's total slot count accordingly.
     pub fn advance(&mut self, dt: f64) {
+        debug_assert!(
+            self.step < u64::from(u32::MAX),
+            "more than u32::MAX channel steps"
+        );
         self.step += 1;
         match &mut self.repr {
             Repr::Dense { fading, .. } => {
@@ -363,7 +382,7 @@ impl ChannelState {
                 }
             }
             Repr::Sharded(links) => {
-                links.advance(&self.cfg, &self.process, self.seed, self.step, dt);
+                links.advance(&self.cfg, &self.process, dt);
             }
         }
     }
@@ -381,12 +400,7 @@ impl ChannelState {
                 )
             }
             Repr::Sharded(links) => match links.records[j].link_to(i as u32) {
-                Some(l) => channel_gain(
-                    l.fading,
-                    l.distance,
-                    self.cfg.path_loss_exp,
-                    self.cfg.min_distance,
-                ),
+                Some(l) => links.gain(j, l, &self.process, &self.cfg),
                 None => 0.0,
             },
         }
@@ -417,22 +431,9 @@ impl ChannelState {
             Repr::Sharded(links) => {
                 let record = &links.records[j];
                 let mut acc = 0.0;
-                if record.serving.edp as usize != i {
-                    acc += channel_gain(
-                        record.serving.fading,
-                        record.serving.distance,
-                        self.cfg.path_loss_exp,
-                        self.cfg.min_distance,
-                    ) * self.cfg.tx_power;
-                }
-                for l in &record.interferers {
+                for l in std::iter::once(&record.serving).chain(&record.interferers) {
                     if l.edp as usize != i {
-                        acc += channel_gain(
-                            l.fading,
-                            l.distance,
-                            self.cfg.path_loss_exp,
-                            self.cfg.min_distance,
-                        ) * self.cfg.tx_power;
+                        acc += links.gain(j, l, &self.process, &self.cfg) * self.cfg.tx_power;
                     }
                 }
                 // The frozen mean-field tail of the untracked far field
@@ -723,12 +724,13 @@ mod tests {
         let big = Topology::random(5_000, 40, &cfg, &mut rng);
         let ch_small = ChannelState::init_with_seed(&small, &cfg, 1);
         let ch_big = ChannelState::init_with_seed(&big, &cfg, 1);
-        // Tracked links are J·(1 + k_int) in both; only the shard index
-        // (one Vec header per EDP) grows with M.
+        // Tracked links are J·(1 + k_int) in both; only the per-EDP index
+        // (one shard Vec header and one position per EDP) grows with M.
         assert_eq!(ch_small.tracked_links(), ch_big.tracked_links());
-        // One Vec header per EDP plus allocation-granularity slack for the
+        // The per-EDP index plus allocation-granularity slack for the
         // occupied shards' small buffers.
-        let index_growth = (5_000 - 50) * std::mem::size_of::<Vec<u32>>() + 1024;
+        let index_growth =
+            (5_000 - 50) * (std::mem::size_of::<Vec<u32>>() + std::mem::size_of::<Point>()) + 1024;
         assert!(
             ch_big.memory_bytes() <= ch_small.memory_bytes() + index_growth,
             "sharded channel memory must not scale with M beyond the index: \

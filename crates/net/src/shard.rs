@@ -22,11 +22,23 @@
 //!   fading over unchanged, and newly tracked links draw from a stream
 //!   that depends only on the key — never on which thread or in which
 //!   order the migration ran.
+//! - **Lazy catch-up**: a slot advances only each requester's serving
+//!   link, the one the market reads. Every link carries the step its
+//!   fading is current at (its *stamp*); a read replays the transitions
+//!   it missed, in order, from their keyed draws, so it returns the same
+//!   bits as advancing the link every step (what the dense layout does).
+//!   Per-slot fading work is O(J), not O(J·k_int), and an interferer
+//!   that is never read never pays for its draws.
+//!
+//! Link distances are not stored: the store keeps the EDP positions and
+//! each requester's current position and computes a distance on read
+//! with the same expression the topology uses.
 
 use mfgcp_sde::{seeded_rng, OrnsteinUhlenbeck, SimRng, StandardNormal};
 
 use crate::config::NetworkConfig;
 use crate::topology::Topology;
+use crate::Point;
 
 /// SplitMix64 finalizer: the bijective avalanche mix used to derive
 /// per-link stream keys.
@@ -55,10 +67,17 @@ pub(crate) fn link_rng(seed: u64, edp: usize, requester: usize, draw: u64) -> Si
 /// any chunking — including the sequential fallback — is bit-identical.
 fn par_chunks<T: Send, F: Fn(usize, &mut [T]) + Sync>(items: &mut [T], f: F) {
     const MIN_PER_THREAD: usize = 1024;
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(items.len() / MIN_PER_THREAD);
+    // Bound by the population first: `available_parallelism` reads the
+    // cgroup quota files, which costs more than a small advance.
+    let max_threads = items.len() / MIN_PER_THREAD;
+    let threads = if max_threads <= 1 {
+        1
+    } else {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .min(max_threads)
+    };
     if threads <= 1 {
         f(0, items);
         return;
@@ -113,20 +132,23 @@ pub(crate) fn advance_fading(
 }
 
 /// One tracked (EDP, requester) link.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct Link {
     /// EDP side of the link.
     pub edp: u32,
-    /// Current OU fading coefficient `h_{i,j}`.
+    /// Step at which `fading` is current (fills the padding after `edp`).
+    pub stamp: u32,
+    /// OU fading coefficient `h_{i,j}` at step `stamp`.
     pub fading: f64,
-    /// Current link distance in meters.
-    pub distance: f64,
 }
+
+// J·(1 + k_int) links are resident; a new field must not re-grow them.
+const _: () = assert!(std::mem::size_of::<Link>() == 16);
 
 /// The links tracked for one requester: its serving EDP plus its
 /// `k_int` strongest (nearest) interferers, and the frozen mean-field
 /// tail of everything farther away.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct RequesterLinks {
     /// The serving-EDP link (always tracked).
     pub serving: Link,
@@ -160,88 +182,103 @@ pub(crate) struct ShardedLinks {
     /// Per-requester link records, indexed by requester id.
     pub records: Vec<RequesterLinks>,
     /// `shards[i]` = requesters whose *serving* EDP is `i` (mirrors
-    /// `Topology::served_by` at the last association). The fading hot
-    /// loop iterates shard-major so each EDP's state stays cache-local.
+    /// `Topology::served_by` at the last association).
     pub shards: Vec<Vec<u32>>,
     /// Interferers tracked per requester.
     pub k_int: usize,
+    /// EDP positions (fixed for the run).
+    edps: Vec<Point>,
+    /// Current requester positions: the topology's at the last
+    /// (re)association, the walkers' after a distance refresh.
+    positions: Vec<Point>,
+    /// The step every link's fading catches up to.
+    clock: Clock,
+}
+
+/// The target of every link's catch-up: the stream seed, the current
+/// step, and the one `(dt, transition sd)` pair every transition since
+/// the last materialization used (`None` before the first advance).
+#[derive(Debug, Clone, Copy)]
+struct Clock {
+    seed: u64,
+    step: u32,
+    transition: Option<(f64, f64)>,
+}
+
+impl Clock {
+    /// Fading of requester `jj`'s link `link` at step `self.step`: the
+    /// transitions it missed since its stamp, replayed in order from
+    /// their keyed draws — the same bits as advancing the link every
+    /// step.
+    fn catch_up(
+        &self,
+        jj: usize,
+        link: &Link,
+        process: &OrnsteinUhlenbeck,
+        cfg: &NetworkConfig,
+    ) -> f64 {
+        let mut h = link.fading;
+        if let Some((dt, sd)) = self.transition {
+            for t in link.stamp + 1..=self.step {
+                h = advance_fading(
+                    self.seed,
+                    link.edp as usize,
+                    jj,
+                    u64::from(t),
+                    h,
+                    dt,
+                    sd,
+                    process,
+                    cfg,
+                );
+            }
+        }
+        h
+    }
 }
 
 impl ShardedLinks {
     /// Track the serving link and `k_int` nearest interferers for every
     /// requester, drawing initial fading from the per-link stationary
-    /// streams at step `step`.
+    /// streams at step 0.
     pub fn build(
         topo: &Topology,
         cfg: &NetworkConfig,
         process: &OrnsteinUhlenbeck,
         seed: u64,
-        step: u64,
         k_int: usize,
     ) -> Self {
         let m = topo.num_edps();
         let j = topo.num_requesters();
-        // Each record is a pure function of its requester index (distances
-        // from `topo`, fading from the per-link streams), so construction
-        // fans out over record chunks like `reassociate`; only the shard
-        // index rebuild stays sequential in ascending requester order.
-        let mut slots: Vec<Option<RequesterLinks>> = vec![None; j];
-        par_chunks(&mut slots, |base, chunk| {
-            for (off, slot) in chunk.iter_mut().enumerate() {
-                *slot = Some(Self::track(
-                    topo,
-                    cfg,
-                    process,
-                    seed,
-                    step,
-                    k_int,
-                    base + off,
-                    None,
-                ));
-            }
-        });
-        let records: Vec<RequesterLinks> = slots.into_iter().flatten().collect();
-        let mut shards = vec![Vec::new(); m];
-        for (jj, rec) in records.iter().enumerate() {
-            shards[rec.serving.edp as usize].push(jj as u32);
-        }
-        Self {
-            records,
-            shards,
+        let mut links = Self {
+            records: vec![RequesterLinks::default(); j],
+            shards: vec![Vec::new(); m],
             k_int,
-        }
+            edps: (0..m).map(|i| topo.edp(i)).collect(),
+            positions: Vec::new(),
+            clock: Clock {
+                seed,
+                step: 0,
+                transition: None,
+            },
+        };
+        links.track_all(topo, cfg, process, false);
+        links
     }
 
     /// Re-associate every requester after mobility, migrating link state
     /// between shards: links tracked both before and after the handover
-    /// keep their fading; links tracked only after draw fresh stationary
-    /// state at step `step` from their per-link stream; links no longer
-    /// tracked are dropped. Distances are refreshed from `topo`.
+    /// keep their fading and stamp; links tracked only after draw fresh
+    /// stationary state at the current step from their per-link stream;
+    /// links no longer tracked are dropped. Positions are refreshed from
+    /// `topo`.
     pub fn reassociate(
         &mut self,
         topo: &Topology,
         cfg: &NetworkConfig,
         process: &OrnsteinUhlenbeck,
-        seed: u64,
-        step: u64,
     ) {
-        // Each record's new state depends only on its own carried links
-        // and per-link streams, so the re-tracking runs on record chunks
-        // across threads; only the shard index rebuild stays sequential
-        // (ascending requester order, exactly as before).
-        let k_int = self.k_int;
-        par_chunks(&mut self.records, |base, chunk| {
-            for (off, rec) in chunk.iter_mut().enumerate() {
-                let jj = base + off;
-                *rec = Self::track(topo, cfg, process, seed, step, k_int, jj, Some(&*rec));
-            }
-        });
-        for shard in &mut self.shards {
-            shard.clear();
-        }
-        for (jj, rec) in self.records.iter().enumerate() {
-            self.shards[rec.serving.edp as usize].push(jj as u32);
-        }
+        self.track_all(topo, cfg, process, true);
     }
 
     /// Resize the tracked-interferer budget to `k_int` and re-track every
@@ -254,12 +291,42 @@ impl ShardedLinks {
         topo: &Topology,
         cfg: &NetworkConfig,
         process: &OrnsteinUhlenbeck,
-        seed: u64,
-        step: u64,
         k_int: usize,
     ) {
         self.k_int = k_int.max(1);
-        self.reassociate(topo, cfg, process, seed, step);
+        self.reassociate(topo, cfg, process);
+    }
+
+    /// Re-track every record from `topo` (carrying link state over when
+    /// `carry` is set) and rebuild the shard index.
+    fn track_all(
+        &mut self,
+        topo: &Topology,
+        cfg: &NetworkConfig,
+        process: &OrnsteinUhlenbeck,
+        carry: bool,
+    ) {
+        // Each record's new state depends only on its own carried links
+        // and per-link streams, so the re-tracking runs on record chunks
+        // across threads; only the shard index rebuild stays sequential
+        // (ascending requester order).
+        let (Clock { seed, step, .. }, k_int) = (self.clock, self.k_int);
+        par_chunks(&mut self.records, |base, chunk| {
+            for (off, rec) in chunk.iter_mut().enumerate() {
+                let jj = base + off;
+                let prev = carry.then_some(&*rec);
+                *rec = Self::track(topo, cfg, process, seed, step, k_int, jj, prev);
+            }
+        });
+        self.positions.clear();
+        self.positions
+            .extend((0..topo.num_requesters()).map(|jj| topo.requester(jj)));
+        for shard in &mut self.shards {
+            shard.clear();
+        }
+        for (jj, rec) in self.records.iter().enumerate() {
+            self.shards[rec.serving.edp as usize].push(jj as u32);
+        }
     }
 
     /// Mean share of the interference power (every fading evaluated at
@@ -277,11 +344,18 @@ impl ShardedLinks {
         let h = process.stationary_mean();
         let mut total = 0.0;
         let mut sampled = 0u64;
-        for record in &self.records {
+        for (jj, record) in self.records.iter().enumerate() {
             let tracked: f64 = record
                 .interferers
                 .iter()
-                .map(|l| crate::channel_gain(h, l.distance, cfg.path_loss_exp, cfg.min_distance))
+                .map(|l| {
+                    crate::channel_gain(
+                        h,
+                        self.distance(jj, l),
+                        cfg.path_loss_exp,
+                        cfg.min_distance,
+                    )
+                })
                 .sum();
             let t = tracked + record.tail_gain;
             if t > 0.0 {
@@ -294,35 +368,35 @@ impl ShardedLinks {
 
     /// Build the link record for requester `jj`: serving EDP (= nearest,
     /// by the association invariant) plus the next `k_int` nearest EDPs
-    /// as interferers. `carry` supplies fading for links already tracked.
-    /// The argument list mirrors `advance_fading`'s stream-key components
-    /// plus the tracking inputs; see the lint waiver there.
+    /// as interferers. `carry` supplies links already tracked, with their
+    /// fading and stamp untouched; a carried link that is behind catches
+    /// up on its next read or serving advance. The argument list mirrors
+    /// `advance_fading`'s stream-key components plus the tracking inputs;
+    /// see the lint waiver there.
     #[allow(clippy::too_many_arguments)]
     fn track(
         topo: &Topology,
         cfg: &NetworkConfig,
         process: &OrnsteinUhlenbeck,
         seed: u64,
-        step: u64,
+        step: u32,
         k_int: usize,
         jj: usize,
         carry: Option<&RequesterLinks>,
     ) -> RequesterLinks {
         let p = topo.requester(jj);
         let serving_edp = topo.serving(jj);
-        let fading_of = |edp: u32| -> f64 {
-            if let Some(prev) = carry {
-                if let Some(link) = prev.link_to(edp) {
-                    return link.fading;
-                }
+        let link_to = |edp: u32| -> Link {
+            if let Some(link) = carry.and_then(|prev| prev.link_to(edp)) {
+                return *link;
             }
-            init_fading(seed, edp as usize, jj, step, process, cfg)
+            Link {
+                edp,
+                stamp: step,
+                fading: init_fading(seed, edp as usize, jj, u64::from(step), process, cfg),
+            }
         };
-        let serving = Link {
-            edp: serving_edp as u32,
-            fading: fading_of(serving_edp as u32),
-            distance: topo.distance(serving_edp, jj),
-        };
+        let serving = link_to(serving_edp as u32);
         // The serving EDP is the nearest by construction, so the k_int + 1
         // nearest minus the serving EDP are exactly the k_int nearest
         // interferers. Guard with a filter anyway: ties at equal distance
@@ -330,15 +404,11 @@ impl ShardedLinks {
         // `Topology`, not here.
         let near = topo.grid().k_nearest(&p, k_int + 1);
         let mut interferers = Vec::with_capacity(k_int.min(near.len()));
-        for (edp, distance) in near {
+        for (edp, _) in near {
             if edp == serving_edp || interferers.len() == k_int {
                 continue;
             }
-            interferers.push(Link {
-                edp: edp as u32,
-                fading: fading_of(edp as u32),
-                distance,
-            });
+            interferers.push(link_to(edp as u32));
         }
         // Frozen mean-field tail: the untracked far field at the OU
         // stationary-mean fading. One O(M) pass per requester, paid only
@@ -362,7 +432,14 @@ impl ShardedLinks {
                 .sum();
             let tracked: f64 = interferers
                 .iter()
-                .map(|l| crate::channel_gain(h, l.distance, cfg.path_loss_exp, cfg.min_distance))
+                .map(|l| {
+                    crate::channel_gain(
+                        h,
+                        topo.distance(l.edp as usize, jj),
+                        cfg.path_loss_exp,
+                        cfg.min_distance,
+                    )
+                })
                 .sum();
             tail_gain = (total - tracked).max(0.0);
         }
@@ -373,66 +450,87 @@ impl ShardedLinks {
         }
     }
 
-    /// Advance every tracked link by `dt` with its per-link transition
-    /// stream into step `step`. Requester-major over record chunks on
-    /// scoped threads; the counter-based streams make the result identical
-    /// for any iteration order and thread count.
-    pub fn advance(
-        &mut self,
-        cfg: &NetworkConfig,
-        process: &OrnsteinUhlenbeck,
-        seed: u64,
-        step: u64,
-        dt: f64,
-    ) {
-        let sd = process.transition_variance(dt).sqrt();
+    /// Advance one step of length `dt`: only each record's serving link
+    /// — the one the market reads — catches up, so the work is O(J)
+    /// whatever `k_int` is.
+    /// Interferers keep their stamp and replay the missed transitions on
+    /// read. A `dt` that differs from the pending transitions' first
+    /// materializes every link, so a replay only ever uses one `dt`.
+    /// Record chunks run on scoped threads; the counter-based streams make
+    /// the result identical for any iteration order and thread count.
+    pub fn advance(&mut self, cfg: &NetworkConfig, process: &OrnsteinUhlenbeck, dt: f64) {
+        if let Some((pending, _)) = self.clock.transition {
+            if pending.to_bits() != dt.to_bits() {
+                self.materialize(cfg, process);
+            }
+        }
+        self.clock.step += 1;
+        self.clock.transition = Some((dt, process.transition_variance(dt).sqrt()));
+        let clock = self.clock;
         par_chunks(&mut self.records, |base, chunk| {
             for (off, record) in chunk.iter_mut().enumerate() {
-                let jj = base + off;
                 let s = &mut record.serving;
-                s.fading = advance_fading(
-                    seed,
-                    s.edp as usize,
-                    jj,
-                    step,
-                    s.fading,
-                    dt,
-                    sd,
-                    process,
-                    cfg,
-                );
-                for l in &mut record.interferers {
-                    l.fading = advance_fading(
-                        seed,
-                        l.edp as usize,
-                        jj,
-                        step,
-                        l.fading,
-                        dt,
-                        sd,
-                        process,
-                        cfg,
-                    );
-                }
+                s.fading = clock.catch_up(base + off, s, process, cfg);
+                s.stamp = clock.step;
             }
         });
     }
 
-    /// Refresh tracked link distances from moved requester positions
-    /// without re-associating (the per-slot mobility path).
-    pub fn refresh_distances(&mut self, topo: &Topology, positions: &[crate::Point]) {
+    /// Bring every tracked link's fading current to the present step.
+    fn materialize(&mut self, cfg: &NetworkConfig, process: &OrnsteinUhlenbeck) {
+        let clock = self.clock;
         par_chunks(&mut self.records, |base, chunk| {
             for (off, record) in chunk.iter_mut().enumerate() {
-                let p = &positions[base + off];
-                record.serving.distance = topo.edp(record.serving.edp as usize).distance(p);
-                for l in &mut record.interferers {
-                    l.distance = topo.edp(l.edp as usize).distance(p);
+                for l in std::iter::once(&mut record.serving).chain(&mut record.interferers) {
+                    l.fading = clock.catch_up(base + off, l, process, cfg);
+                    l.stamp = clock.step;
                 }
             }
         });
     }
 
-    /// Resident bytes of the link store (records + shard index).
+    /// Fading of requester `jj`'s tracked link `link` at the current
+    /// step (see [`Clock::catch_up`]). Pure.
+    pub fn fading(
+        &self,
+        jj: usize,
+        link: &Link,
+        process: &OrnsteinUhlenbeck,
+        cfg: &NetworkConfig,
+    ) -> f64 {
+        self.clock.catch_up(jj, link, process, cfg)
+    }
+
+    /// Current distance of requester `jj`'s link `link`, in meters.
+    pub fn distance(&self, jj: usize, link: &Link) -> f64 {
+        self.edps[link.edp as usize].distance(&self.positions[jj])
+    }
+
+    /// Channel gain `|g|²` of requester `jj`'s link `link` at the current
+    /// step.
+    pub fn gain(
+        &self,
+        jj: usize,
+        link: &Link,
+        process: &OrnsteinUhlenbeck,
+        cfg: &NetworkConfig,
+    ) -> f64 {
+        crate::channel_gain(
+            self.fading(jj, link, process, cfg),
+            self.distance(jj, link),
+            cfg.path_loss_exp,
+            cfg.min_distance,
+        )
+    }
+
+    /// Move the requesters to `positions` without re-associating (the
+    /// per-slot mobility path): every link distance follows on read.
+    pub fn refresh_distances(&mut self, positions: &[Point]) {
+        self.positions.copy_from_slice(positions);
+    }
+
+    /// Resident bytes of the link store (records, shard index and
+    /// positions).
     pub fn memory_bytes(&self) -> usize {
         let records: usize = self
             .records
@@ -447,7 +545,9 @@ impl ShardedLinks {
             .iter()
             .map(|s| std::mem::size_of::<Vec<u32>>() + s.capacity() * std::mem::size_of::<u32>())
             .sum();
-        records + shards
+        let positions =
+            (self.edps.capacity() + self.positions.capacity()) * std::mem::size_of::<Point>();
+        records + shards + positions
     }
 }
 

@@ -194,7 +194,155 @@ fn mobility_keeps_continuously_tracked_links_bit_identical() {
     );
 }
 
+/// One step of a random channel-layer interleaving.
+#[derive(Debug, Clone)]
+enum Op {
+    /// Advance both states by `DTS[n]`.
+    Advance(usize),
+    /// Move every requester and refresh distances without re-associating.
+    Move,
+    /// Re-associate at the current positions (handover migration).
+    Reassociate,
+    /// Check every tracked link against the dense oracle.
+    Read,
+}
+
+/// Slot lengths the interleavings switch between, so a `dt` change (and
+/// the materialization it forces) happens mid-run.
+const DTS: [f64; 3] = [0.05, 0.1, 0.02];
+
+/// Advances weighted 4 : 1 : 1 : 2 against moves, handovers and reads.
+fn op() -> impl Strategy<Value = Op> {
+    (0_usize..8).prop_map(|n| match n {
+        0..=3 => Op::Advance(n % DTS.len()),
+        4 => Op::Move,
+        5 => Op::Reassociate,
+        _ => Op::Read,
+    })
+}
+
+/// Tracked EDPs of requester `j`: serving link first, then interferers
+/// in summation order.
+fn tracked(ch: &ChannelState, topo: &Topology, j: usize) -> Vec<usize> {
+    std::iter::once(topo.serving(j))
+        .chain(ch.tracked_interferers(j))
+        .collect()
+}
+
+/// Check the lazy sharded state against the eager dense oracle on every
+/// link it has tracked continuously since construction (a link first
+/// tracked at a handover draws fresh stationary state, which the dense
+/// oracle cannot replay). Reads are pure, so each one is taken twice.
+/// With every link tracked (no frozen tail), the interference sum must
+/// also equal the dense gains summed in the sharded order.
+fn check_against_dense(
+    sharded: &ChannelState,
+    dense: &ChannelState,
+    topo: &Topology,
+    continuous: &[Vec<usize>],
+    full: bool,
+    tx_power: f64,
+) {
+    for (j, kept) in continuous.iter().enumerate() {
+        let links = tracked(sharded, topo, j);
+        for &i in &links {
+            let h = sharded.link_fading(i, j);
+            prop_assert!(h.is_some(), "link ({}, {}) not tracked", i, j);
+            prop_assert_eq!(
+                h.map(f64::to_bits),
+                sharded.link_fading(i, j).map(f64::to_bits)
+            );
+            prop_assert_eq!(sharded.gain(i, j).to_bits(), sharded.gain(i, j).to_bits());
+            if kept.contains(&i) {
+                prop_assert_eq!(
+                    h.map(f64::to_bits),
+                    dense.link_fading(i, j).map(f64::to_bits),
+                    "fading of link ({}, {})",
+                    i,
+                    j
+                );
+                prop_assert_eq!(
+                    sharded.gain(i, j).to_bits(),
+                    dense.gain(i, j).to_bits(),
+                    "gain of link ({}, {})",
+                    i,
+                    j
+                );
+            }
+            let interference = sharded.interference(i, j);
+            prop_assert_eq!(interference.to_bits(), sharded.interference(i, j).to_bits());
+            if full {
+                let mut expected = 0.0;
+                for &other in &links {
+                    if other != i {
+                        expected += dense.gain(other, j) * tx_power;
+                    }
+                }
+                prop_assert_eq!(
+                    interference.to_bits(),
+                    (expected + 0.0).to_bits(),
+                    "interference at ({}, {})",
+                    i,
+                    j
+                );
+            }
+        }
+    }
+}
+
 proptest! {
+    /// Lazy catch-up is invisible: under any interleaving of advances
+    /// (switching `dt`), per-slot distance refreshes, handovers and
+    /// reads, every continuously tracked link's fading and gain equal the
+    /// eagerly advanced dense oracle bit for bit, and reads are
+    /// repeatable.
+    #[test]
+    fn lazy_catch_up_matches_the_eager_dense_oracle(
+        seed in 0_u64..1_000,
+        m in 2_usize..14,
+        j in 1_usize..12,
+        k_int in 1_usize..16,
+        ops in proptest::collection::vec(op(), 1..40),
+    ) {
+        let cfg = NetworkConfig { k_int, ..NetworkConfig::default() };
+        let mut rng = seeded_rng(seed);
+        let mut topo = Topology::random(m, j, &cfg, &mut rng);
+        let mut sharded = ChannelState::init_with_seed(&topo, &cfg, seed);
+        let mut dense = ChannelState::init_with_seed(&topo, &dense_cfg(&cfg), seed);
+        let full = k_int + 1 >= m;
+        let mut continuous: Vec<Vec<usize>> =
+            (0..j).map(|jj| tracked(&sharded, &topo, jj)).collect();
+        let mut positions: Vec<Point> = (0..j).map(|jj| topo.requester(jj)).collect();
+        for op in ops {
+            match op {
+                Op::Advance(n) => {
+                    sharded.advance(DTS[n]);
+                    dense.advance(DTS[n]);
+                }
+                Op::Move => {
+                    positions = (0..j)
+                        .map(|_| mfgcp_net::uniform_in_disc(cfg.area_radius, &mut rng))
+                        .collect();
+                    sharded.refresh_distances_from_positions(&topo, &positions);
+                    dense.refresh_distances_from_positions(&topo, &positions);
+                }
+                Op::Reassociate => {
+                    topo.update_requesters(&positions);
+                    sharded.refresh_distances(&topo);
+                    dense.refresh_distances(&topo);
+                    for (jj, kept) in continuous.iter_mut().enumerate() {
+                        let now = tracked(&sharded, &topo, jj);
+                        kept.retain(|i| now.contains(i));
+                    }
+                }
+                Op::Read => check_against_dense(
+                    &sharded, &dense, &topo, &continuous, full, cfg.tx_power,
+                ),
+            }
+        }
+        check_against_dense(&sharded, &dense, &topo, &continuous, full, cfg.tx_power);
+    }
+
     /// Handover migration never drops or duplicates link state: after any
     /// sequence of moves and re-associations, every requester still
     /// tracks exactly its serving link plus `min(k_int, M − 1)` distinct

@@ -146,6 +146,15 @@ impl SimConfig {
         if self.slots_per_epoch == 0 {
             return Err(bad("slots_per_epoch", "need at least 1 slot"));
         }
+        // Every slot advances the channel one step, and the sharded
+        // channel stamps each link with its step as a `u32`.
+        let total_slots = self.epochs.checked_mul(self.slots_per_epoch);
+        if total_slots.map_or(true, |n| n > u32::MAX as usize) {
+            return Err(bad(
+                "epochs",
+                "epochs * slots_per_epoch must not exceed 4294967295 slots",
+            ));
+        }
         if self.audit_sample == 0 {
             return Err(bad(
                 "audit_sample",
@@ -276,6 +285,21 @@ mod tests {
             Err(SimError::BadConfig { name, .. }) => assert_eq!(name, "audit_sample"),
             other => panic!("expected BadConfig, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn total_slots_beyond_the_channel_step_range_are_rejected() {
+        let mut c = SimConfig::small();
+        c.epochs = usize::MAX;
+        c.slots_per_epoch = 2;
+        match c.validate() {
+            Err(SimError::BadConfig { name, .. }) => assert_eq!(name, "epochs"),
+            other => panic!("expected BadConfig, got {other:?}"),
+        }
+        c.epochs = u32::MAX as usize / 2 + 1;
+        assert!(c.validate().is_err(), "one slot past u32::MAX");
+        c.epochs = u32::MAX as usize / 2;
+        c.validate().unwrap();
     }
 
     #[test]
