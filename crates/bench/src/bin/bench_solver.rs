@@ -7,11 +7,12 @@
 //! nanoseconds per column solve (a 2-D step performs `ny` x-direction and
 //! `nx` y-direction tridiagonal solves), scalar and batched side by side
 //! with the speedup ratio. The full-solve layer times `MfgSolver` (Alg. 2
-//! Picard iteration, implicit steppers) end to end on the paper grid for
-//! both kernel paths, recording wall time *and* Picard
-//! iterations-to-convergence (`picard_iterations`, gated lower-is-better).
-//! The two paths are bit-identical — the benchmark asserts this on the
-//! fly — so the ratio is pure speed. A `warm_reprice` row times the
+//! Picard iteration) end to end on the paper grid, recording wall time
+//! *and* Picard iterations-to-convergence (`picard_iterations`, gated
+//! lower-is-better): with the implicit steppers on both kernel paths
+//! (`path` `scalar` and `batched`, which are bit-identical, so their ratio
+//! is pure speed), and as `path` `default`, `Params::default()` with the
+//! explicit steppers that `mfgcp solve` runs. A `warm_reprice` row times the
 //! online-repricing path: after a small popularity perturbation, a warm
 //! re-solve seeded from the stale equilibrium's policy vs a cold
 //! re-solve (`warm_speedup`, gated higher-is-better).
@@ -186,14 +187,28 @@ fn measure_kernel(
     sample
 }
 
-fn measure_full_solve(batched: bool, recorder: &RecorderHandle) -> FullSolveSample {
-    // Paper grid (24×48), implicit steppers — the configuration online
-    // repricing would re-solve mid-run.
-    let params = Params {
+/// The full-solve legs on the paper grid (24×48): the implicit steppers
+/// on both kernel paths — the configuration online repricing would
+/// re-solve mid-run — and `default`, the configuration every CLI verb
+/// solves.
+fn full_solve_legs() -> [(&'static str, Params); 3] {
+    let implicit = |batched_kernels| Params {
         implicit_steppers: true,
-        batched_kernels: batched,
+        batched_kernels,
         ..Params::default()
     };
+    [
+        ("scalar", implicit(false)),
+        ("batched", implicit(true)),
+        ("default", Params::default()),
+    ]
+}
+
+fn measure_full_solve(
+    path: &'static str,
+    params: Params,
+    recorder: &RecorderHandle,
+) -> FullSolveSample {
     let (nx, ny) = (params.grid_h, params.grid_q);
     let solver = MfgSolver::new(params).expect("valid params");
     let mut best: Option<FullSolveSample> = None;
@@ -202,7 +217,7 @@ fn measure_full_solve(batched: bool, recorder: &RecorderHandle) -> FullSolveSamp
         let eq = solver.solve().expect("paper-grid solve converges");
         let wall_millis = start.elapsed().as_secs_f64() * 1e3;
         let sample = FullSolveSample {
-            path: if batched { "batched" } else { "scalar" },
+            path,
             nx,
             ny,
             picard_iterations: eq.report.iterations,
@@ -371,9 +386,9 @@ fn main() {
     let full_samples: Vec<FullSolveSample> = if skip_full {
         Vec::new()
     } else {
-        [false, true]
-            .iter()
-            .map(|&b| measure_full_solve(b, &recorder))
+        full_solve_legs()
+            .into_iter()
+            .map(|(path, params)| measure_full_solve(path, params, &recorder))
             .collect()
     };
     let warm_sample = if skip_full {

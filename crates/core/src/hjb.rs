@@ -6,13 +6,22 @@
 //! backwards from the terminal condition `V(T, ·) = 0`, extracting the
 //! optimal caching rate `x*(t, h, q)` from `∂_q V` at every step. This is
 //! exactly lines 4–5 of Alg. 2.
+//!
+//! The running reward of Eq. (10) is assembled from tables built at the
+//! granularity each input varies on: the clamped edge rate `H(h)` (one
+//! `log₂`) per h column once per solver, next to the channel drift, and
+//! the case-probability terms ([`crate::utility::QTerms`], four `exp`)
+//! per q row once per time step. A grid point then computes only the
+//! control and the arithmetic of [`Utility::breakdown_at`], the single
+//! body [`Utility::evaluate`] also runs, so the values and policies are
+//! bit-identical to evaluating Eq. (10) pointwise.
 
 use mfgcp_obs::RecorderHandle;
 use mfgcp_pde::{BackwardParabolic2d, Field2d, Grid2d, ImplicitBackward2d, StepperScratch};
 
 use crate::estimator::MeanFieldSnapshot;
 use crate::params::{CoreError, Params};
-use crate::utility::{ContentContext, Utility};
+use crate::utility::{ContentContext, QTerms, Utility};
 
 /// The result of one backward sweep: value and policy surfaces.
 #[derive(Debug, Clone)]
@@ -32,13 +41,16 @@ impl HjbSolution {
 }
 
 /// Reusable cross-iteration workspace for [`HjbSolver::solve_into`]: the
-/// closed-loop drift and running-reward fields plus the stepper scratch,
-/// allocated once (via [`HjbSolver::scratch`]) and reused across every
-/// Picard iteration of Alg. 2.
+/// closed-loop drift and running-reward fields, the per-row utility terms
+/// of the current time step and the stepper scratch, allocated once (via
+/// [`HjbSolver::scratch`]) and reused across every Picard iteration of
+/// Alg. 2.
 #[derive(Debug, Clone)]
 pub struct HjbScratch {
     by: Field2d,
     source: Field2d,
+    /// `q_terms(snapshot, q_j)` for every q row, refilled each time step.
+    rows: Vec<QTerms>,
     stepper: StepperScratch,
 }
 
@@ -53,6 +65,8 @@ pub struct HjbSolver {
     /// Channel drift `b_h(h)` — state-only, so assembled once here rather
     /// than on every solve.
     channel_drift: Field2d,
+    /// Clamped edge rate `edge_rate(h_i)` per h column — state-only too.
+    edge_rates: Vec<f64>,
 }
 
 impl HjbSolver {
@@ -71,6 +85,9 @@ impl HjbSolver {
         implicit.set_batched(params.batched_kernels);
         let utility = Utility::new(params.clone());
         let channel_drift = Field2d::from_fn(grid.clone(), |h, _q| params.drift_h(h));
+        let edge_rates = (0..grid.x().len())
+            .map(|i| utility.edge_rate(grid.x().at(i)))
+            .collect();
         Ok(Self {
             params,
             utility,
@@ -78,6 +95,7 @@ impl HjbSolver {
             implicit,
             grid,
             channel_drift,
+            edge_rates,
         })
     }
 
@@ -95,6 +113,7 @@ impl HjbSolver {
         HjbScratch {
             by: Field2d::zeros(self.grid.clone()),
             source: Field2d::zeros(self.grid.clone()),
+            rows: vec![QTerms::default(); self.grid.y().len()],
             stepper: StepperScratch::new(),
         }
     }
@@ -139,6 +158,8 @@ impl HjbSolver {
     /// the allocation-free path the Picard loop of Alg. 2 runs on. The
     /// per-grid-point assembly runs inline, one h-column at a time: at the
     /// CLI grids a pass is too small to repay spawning threads per step.
+    /// Its transcendental inputs come from the row and column tables
+    /// described in the module docs.
     ///
     /// # Panics
     ///
@@ -163,6 +184,7 @@ impl HjbSolver {
         for f in values.iter().chain(policy.iter()) {
             assert_eq!(f.grid(), &self.grid, "reused buffer grid mismatch");
         }
+        assert_eq!(scratch.rows.len(), ny, "reused scratch grid mismatch");
         // Terminal condition: V(T) = γ·(Q_k − q) (salvage value of the
         // cached inventory; γ = 0 reproduces the paper's V(T) = 0).
         let gamma = self.params.terminal_value_weight;
@@ -176,6 +198,9 @@ impl HjbSolver {
         for n in (0..n_steps).rev() {
             let ctx = &contexts[n];
             let snap = &snapshots[n];
+            for (j, row) in scratch.rows.iter_mut().enumerate() {
+                *row = self.utility.q_terms(snap, self.grid.y().at(j));
+            }
             let (head, tail) = values.split_at_mut(n + 1);
             let v_next = &tail[0];
 
@@ -188,8 +213,8 @@ impl HjbSolver {
                 .zip(scratch.by.values_mut().chunks_mut(ny))
                 .zip(scratch.source.values_mut().chunks_mut(ny));
             for (i, ((pol_col, by_col), src_col)) in columns.enumerate() {
-                let h = self.grid.x().at(i);
-                for j in 0..ny {
+                let edge_rate = self.edge_rates[i];
+                for (j, row) in scratch.rows.iter().enumerate() {
                     let dv_dq = if j == 0 {
                         (v_next.at(i, 1) - v_next.at(i, 0)) / dq
                     } else if j == ny - 1 {
@@ -200,7 +225,10 @@ impl HjbSolver {
                     let x = self.utility.optimal_control(dv_dq);
                     pol_col[j] = x;
                     by_col[j] = self.params.drift_q(x, ctx.popularity, ctx.urgency_factor);
-                    src_col[j] = self.utility.evaluate(ctx, snap, x, h, self.grid.y().at(j));
+                    src_col[j] = self
+                        .utility
+                        .breakdown_at(ctx, snap, row, x, edge_rate)
+                        .total();
                 }
             }
 
@@ -403,6 +431,128 @@ mod tests {
             early_mass(&ramped),
             early_mass(&flat)
         );
+    }
+
+    /// The backward sweep with Eq. (10) evaluated pointwise through
+    /// [`Utility::evaluate`] at every grid point and step, with no tables,
+    /// on the solver's own steppers.
+    fn reference_solve(
+        solver: &HjbSolver,
+        contexts: &[ContentContext],
+        snapshots: &[MeanFieldSnapshot],
+    ) -> HjbSolution {
+        let p = &solver.params;
+        let grid = &solver.grid;
+        let (nx, ny) = (grid.x().len(), grid.y().len());
+        let (n_steps, dt, dq) = (p.time_steps, p.dt(), grid.y().dx());
+        let mut values = vec![Field2d::zeros(grid.clone()); n_steps + 1];
+        let mut policy = vec![Field2d::zeros(grid.clone()); n_steps];
+        for i in 0..nx {
+            for j in 0..ny {
+                let salvage = p.terminal_value_weight * (p.q_size - grid.y().at(j));
+                values[n_steps].set(i, j, salvage);
+            }
+        }
+        let mut by = Field2d::zeros(grid.clone());
+        let mut source = Field2d::zeros(grid.clone());
+        let mut scratch = StepperScratch::new();
+        for n in (0..n_steps).rev() {
+            let (ctx, snap) = (&contexts[n], &snapshots[n]);
+            let mut v = values[n + 1].clone();
+            for i in 0..nx {
+                let h = grid.x().at(i);
+                for j in 0..ny {
+                    let dv_dq = if j == 0 {
+                        (v.at(i, 1) - v.at(i, 0)) / dq
+                    } else if j == ny - 1 {
+                        (v.at(i, ny - 1) - v.at(i, ny - 2)) / dq
+                    } else {
+                        (v.at(i, j + 1) - v.at(i, j - 1)) / (2.0 * dq)
+                    };
+                    let x = solver.utility.optimal_control(dv_dq);
+                    policy[n].set(i, j, x);
+                    by.set(i, j, p.drift_q(x, ctx.popularity, ctx.urgency_factor));
+                    let q = grid.y().at(j);
+                    source.set(i, j, solver.utility.evaluate(ctx, snap, x, h, q));
+                }
+            }
+            if p.implicit_steppers {
+                solver.implicit.step_back_scratch(
+                    &mut v,
+                    &solver.channel_drift,
+                    &by,
+                    &source,
+                    dt,
+                    &mut scratch,
+                );
+            } else {
+                solver.stepper.step_back_scratch(
+                    &mut v,
+                    &solver.channel_drift,
+                    &by,
+                    &source,
+                    dt,
+                    &mut scratch,
+                );
+            }
+            values[n] = v;
+        }
+        HjbSolution { values, policy }
+    }
+
+    fn field_bits(fields: &[Field2d]) -> Vec<u64> {
+        fields
+            .iter()
+            .flat_map(|f| f.values().iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn tabulated_assembly_matches_pointwise_evaluation_bit_for_bit() {
+        let n_steps = 12;
+        // Contexts and snapshots that change every step, so a table left
+        // over from the previous step would show.
+        let contexts: Vec<ContentContext> = (0..n_steps)
+            .map(|n| ContentContext {
+                requests: 4.0 + 3.0 * n as f64,
+                popularity: 0.1 + 0.05 * n as f64,
+                urgency_factor: 0.01 * (1 + n % 3) as f64,
+            })
+            .collect();
+        let snaps: Vec<MeanFieldSnapshot> = (0..n_steps)
+            .map(|n| MeanFieldSnapshot {
+                price: 5.0 - 0.2 * n as f64,
+                q_bar: 0.05 + 0.07 * n as f64,
+                share_benefit: 0.02 * n as f64,
+                ..snapshot()
+            })
+            .collect();
+        for implicit_steppers in [false, true] {
+            for terminal_value_weight in [0.0, 1.5] {
+                let solver = HjbSolver::new(Params {
+                    time_steps: n_steps,
+                    grid_h: 7,
+                    grid_q: 22,
+                    implicit_steppers,
+                    terminal_value_weight,
+                    ..Params::default()
+                })
+                .unwrap();
+                let fast = solver.solve(&contexts, &snaps);
+                let oracle = reference_solve(&solver, &contexts, &snaps);
+                let case = format!("implicit {implicit_steppers}, gamma {terminal_value_weight}");
+                assert_eq!(
+                    field_bits(&fast.values),
+                    field_bits(&oracle.values),
+                    "values, {case}"
+                );
+                assert_eq!(
+                    field_bits(&fast.policy),
+                    field_bits(&oracle.policy),
+                    "policy, {case}"
+                );
+            }
+        }
     }
 
     #[test]

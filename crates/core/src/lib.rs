@@ -85,4 +85,4 @@ pub use pricing::{finite_population_price, mean_field_price, SharedSupplyPricer}
 pub use rate::RateModel;
 pub use reduced::{ReducedEquilibrium, ReducedMfgSolver};
 pub use sigmoid::Sigmoid;
-pub use utility::{ContentContext, Utility, UtilityBreakdown};
+pub use utility::{ContentContext, QTerms, Utility, UtilityBreakdown};

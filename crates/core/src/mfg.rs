@@ -34,7 +34,7 @@ use crate::estimator::{MeanFieldEstimator, MeanFieldSnapshot};
 use crate::fpk::{FpkScratch, FpkSolver};
 use crate::hjb::{HjbScratch, HjbSolver};
 use crate::params::{CoreError, Params};
-use crate::utility::{ContentContext, Utility, UtilityBreakdown};
+use crate::utility::{ContentContext, QTerms, Utility, UtilityBreakdown};
 
 /// A mean-field equilibrium: the fixed point `(V*, λ*)` of the coupled
 /// HJB–FPK system, together with the induced policy and prices.
@@ -229,24 +229,29 @@ impl Equilibrium {
         let grid = self.policy[0].grid().clone();
         let (nx, ny) = (grid.x().len(), grid.y().len());
         let cell = grid.cell_area();
+        // The same per-column rates and per-row terms the HJB sweep
+        // tabulates, so each point is arithmetic only.
+        let edge_rates: Vec<f64> = (0..nx).map(|i| utility.edge_rate(grid.x().at(i))).collect();
+        let mut rows = vec![QTerms::default(); ny];
         let mut out = Vec::with_capacity(self.params.time_steps);
         for n in 0..self.params.time_steps {
             let lam = &self.density[n];
             let pol = &self.policy[n];
             let ctx = &self.contexts[n];
             let snap = &self.snapshots[n];
+            for (j, row) in rows.iter_mut().enumerate() {
+                *row = utility.q_terms(snap, grid.y().at(j));
+            }
             let mut acc = UtilityBreakdown::default();
             let mut mass = 0.0;
-            for i in 0..nx {
-                let h = grid.x().at(i);
-                for j in 0..ny {
+            for (i, &edge_rate) in edge_rates.iter().enumerate() {
+                for (j, row) in rows.iter().enumerate() {
                     let w = lam.at(i, j) * cell;
                     if w <= 0.0 {
                         continue;
                     }
                     mass += w;
-                    let q = grid.y().at(j);
-                    let b = utility.breakdown(ctx, snap, pol.at(i, j), h, q);
+                    let b = utility.breakdown_at(ctx, snap, row, pol.at(i, j), edge_rate);
                     acc.trading_income += w * b.trading_income;
                     acc.sharing_benefit += w * b.sharing_benefit;
                     acc.placement_cost += w * b.placement_cost;
@@ -1272,6 +1277,58 @@ mod tests {
         for (a, b) in first.iter().zip(second) {
             assert_eq!(a.total(), b.total());
             assert_eq!(a.trading_income, b.trading_income);
+        }
+    }
+
+    #[test]
+    fn utility_series_matches_the_pointwise_breakdown_bit_for_bit() {
+        // The tabulated quadrature against `Utility::breakdown` at every
+        // point, with the same weights and summation order.
+        let solver = MfgSolver::new(fast_params()).unwrap();
+        let eq = solver.solve().unwrap();
+        let utility = Utility::new(eq.params.clone());
+        let grid = eq.policy[0].grid();
+        let cell = grid.cell_area();
+        for (n, got) in eq.utility_series().iter().enumerate() {
+            let (ctx, snap) = (&eq.contexts[n], &eq.snapshots[n]);
+            let mut acc = UtilityBreakdown::default();
+            let mut mass = 0.0;
+            for i in 0..grid.x().len() {
+                for j in 0..grid.y().len() {
+                    let w = eq.density[n].at(i, j) * cell;
+                    if w <= 0.0 {
+                        continue;
+                    }
+                    mass += w;
+                    let (h, q) = (grid.x().at(i), grid.y().at(j));
+                    let b = utility.breakdown(ctx, snap, eq.policy[n].at(i, j), h, q);
+                    acc.trading_income += w * b.trading_income;
+                    acc.sharing_benefit += w * b.sharing_benefit;
+                    acc.placement_cost += w * b.placement_cost;
+                    acc.staleness_cost += w * b.staleness_cost;
+                    acc.sharing_cost += w * b.sharing_cost;
+                }
+            }
+            let inv = 1.0 / mass;
+            let expected = [
+                acc.trading_income * inv,
+                acc.sharing_benefit * inv,
+                acc.placement_cost * inv,
+                acc.staleness_cost * inv,
+                acc.sharing_cost * inv,
+            ];
+            let got = [
+                got.trading_income,
+                got.sharing_benefit,
+                got.placement_cost,
+                got.staleness_cost,
+                got.sharing_cost,
+            ];
+            assert_eq!(
+                got.map(f64::to_bits),
+                expected.map(f64::to_bits),
+                "step {n}"
+            );
         }
     }
 

@@ -129,6 +129,11 @@ pub fn mean_field_price(
         supply += lam * x;
     }
     supply *= density.grid().cell_area();
+    price_from_supply(p_hat, eta1, q_size, supply)
+}
+
+/// Eq. (17) given the integrated supply `∬ λ·x* dh dq`, floored at 0.
+pub(crate) fn price_from_supply(p_hat: f64, eta1: f64, q_size: f64, supply: f64) -> f64 {
     (p_hat - eta1 * q_size * supply).max(0.0)
 }
 

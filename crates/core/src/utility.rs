@@ -67,8 +67,34 @@ impl UtilityBreakdown {
     }
 }
 
+/// The part of Eq. (10) at own state `q` that depends on neither the
+/// fading `h` nor the control `x`: the case probabilities against the
+/// snapshot's `q̄₋` folded into the per-case data volumes. Built by
+/// [`Utility::q_terms`]; the HJB sweep tabulates one per grid row and
+/// time step instead of re-evaluating the sigmoids at every point.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct QTerms {
+    /// `P¹·(Q_k − q)⁺`: data served from the own cache (case 1).
+    own_part: f64,
+    /// `P²·(Q_k − q̄₋)⁺`: data completed by a peer (case 2).
+    peer_part: f64,
+    /// `P³`: the case-3 probability.
+    p3: f64,
+    /// Data sold per request, `own_part + peer_part + P³·Q_k`.
+    sold: f64,
+    /// The center-download delay `q/H_c` of case 3.
+    center_delay: f64,
+    /// Sharing cost `C³ = P²·p̄_k·(q − q̄₋)⁺`.
+    sharing_cost: f64,
+}
+
 /// Evaluates the generic player's utility at a state `(h, q)` given the
 /// mean-field snapshot.
+///
+/// Eq. (10) has one body, [`Utility::breakdown_at`], which reads the
+/// q-dependent [`QTerms`] and the clamped edge rate [`Utility::edge_rate`];
+/// the pointwise methods build both and delegate, so a caller that
+/// tabulates them per row and column gets the same bits.
 #[derive(Debug, Clone)]
 pub struct Utility {
     params: Params,
@@ -103,15 +129,40 @@ impl Utility {
         CaseProbabilities::compute(self.sigmoid, q, q_peer, self.params.alpha_qk())
     }
 
+    /// The `(h, x)`-independent terms of Eq. (10) at own state `q` against
+    /// the snapshot's `q̄₋` (four sigmoid evaluations).
+    pub fn q_terms(&self, mf: &MeanFieldSnapshot, q: f64) -> QTerms {
+        let p = &self.params;
+        let qk = p.q_size;
+        let c = self.cases(q, mf.q_bar);
+        let own_part = c.p1 * (qk - q).max(0.0);
+        let peer_part = c.p2 * (qk - mf.q_bar).max(0.0);
+        QTerms {
+            own_part,
+            peer_part,
+            p3: c.p3,
+            sold: own_part + peer_part + c.p3 * qk,
+            center_delay: q / p.center_rate,
+            sharing_cost: c.p2 * p.p_bar * (q - mf.q_bar).max(0.0),
+        }
+    }
+
+    /// The edge rate `H(h)` entering the staleness cost, clamped away from
+    /// zero (one `log₂`).
+    pub fn edge_rate(&self, h: f64) -> f64 {
+        self.rate.rate(h).max(1e-9)
+    }
+
     /// Trading income `Φ¹` (Eq. (6)): each of the `|I_k|` requesters pays
     /// `p_k` per unit for the data actually delivered — the cached part
     /// `Q_k − q` in case 1, the peer-completed `Q_k − q̄₋` in case 2, the
     /// full `Q_k` in case 3.
     pub fn trading_income(&self, ctx: &ContentContext, mf: &MeanFieldSnapshot, q: f64) -> f64 {
-        let qk = self.params.q_size;
-        let c = self.cases(q, mf.q_bar);
-        let sold = c.p1 * (qk - q).max(0.0) + c.p2 * (qk - mf.q_bar).max(0.0) + c.p3 * qk;
-        ctx.requests * mf.price * sold
+        Self::income_at(ctx, mf, &self.q_terms(mf, q))
+    }
+
+    fn income_at(ctx: &ContentContext, mf: &MeanFieldSnapshot, terms: &QTerms) -> f64 {
+        ctx.requests * mf.price * terms.sold
     }
 
     /// Placement cost `C¹ = w₄x + w₅x²` (Eq. (8)).
@@ -128,25 +179,24 @@ impl Utility {
         h: f64,
         q: f64,
     ) -> f64 {
+        self.staleness_at(ctx, &self.q_terms(mf, q), x, self.edge_rate(h))
+    }
+
+    fn staleness_at(&self, ctx: &ContentContext, terms: &QTerms, x: f64, hj: f64) -> f64 {
         let p = &self.params;
         let qk = p.q_size;
-        let hc = p.center_rate;
-        let hj = self.rate.rate(h).max(1e-9);
-        let c = self.cases(q, mf.q_bar);
         // Downloading the caching rate's worth of data from the center.
-        let download = qk * x / hc;
+        let download = qk * x / p.center_rate;
         // Per-requester delivery delay under each case.
-        let per_request = c.p1 * (qk - q).max(0.0) / hj
-            + c.p2 * (qk - mf.q_bar).max(0.0) / hj
-            + c.p3 * (q / hc + qk / hj);
+        let per_request =
+            terms.own_part / hj + terms.peer_part / hj + terms.p3 * (terms.center_delay + qk / hj);
         p.eta2 * (download + ctx.requests * per_request)
     }
 
     /// Sharing cost `C³ = P²·p̄_k·(q − q̄₋)`: the remuneration paid to the
     /// peer for completing the missing `q − q̄₋` units in case 2.
     pub fn sharing_cost(&self, mf: &MeanFieldSnapshot, q: f64) -> f64 {
-        let c = self.cases(q, mf.q_bar);
-        c.p2 * self.params.p_bar * (q - mf.q_bar).max(0.0)
+        self.q_terms(mf, q).sharing_cost
     }
 
     /// Full breakdown of Eq. (10) at control `x`, state `(h, q)`.
@@ -158,12 +208,26 @@ impl Utility {
         h: f64,
         q: f64,
     ) -> UtilityBreakdown {
+        self.breakdown_at(ctx, mf, &self.q_terms(mf, q), x, self.edge_rate(h))
+    }
+
+    /// Full breakdown of Eq. (10) at control `x` from the row terms
+    /// `terms = q_terms(mf, q)` and the clamped rate `edge_rate =
+    /// edge_rate(h)` — bit-identical to `breakdown(ctx, mf, x, h, q)`.
+    pub fn breakdown_at(
+        &self,
+        ctx: &ContentContext,
+        mf: &MeanFieldSnapshot,
+        terms: &QTerms,
+        x: f64,
+        edge_rate: f64,
+    ) -> UtilityBreakdown {
         UtilityBreakdown {
-            trading_income: self.trading_income(ctx, mf, q),
+            trading_income: Self::income_at(ctx, mf, terms),
             sharing_benefit: mf.share_benefit,
             placement_cost: self.placement_cost(x),
-            staleness_cost: self.staleness_cost(ctx, mf, x, h, q),
-            sharing_cost: self.sharing_cost(mf, q),
+            staleness_cost: self.staleness_at(ctx, terms, x, edge_rate),
+            sharing_cost: terms.sharing_cost,
         }
     }
 
